@@ -101,14 +101,12 @@ func clamp(v, lo, hi int) int {
 }
 
 // statics bundles the per-netlist read-only data shared by every PODEM
-// search: evaluation order, fanout lists, PO membership, and SCOAP-like
-// testability measures. Computed once per Engine; worker goroutines
-// share it without synchronization because nothing mutates it after
-// construction.
+// search: the compiled CSR view (order, levels, fanouts, PO membership)
+// and SCOAP-like testability measures. Computed once per Engine; worker
+// goroutines share it without synchronization because nothing mutates
+// it after construction.
 type statics struct {
-	order    []int
-	fanouts  [][]int
-	poSet    map[int]bool
+	c        *netlist.Compiled
 	cc0, cc1 []int
 	obs      []int
 }
@@ -123,15 +121,17 @@ type Engine struct {
 	// (nil otherwise); its sweep counters are published as scoap.*
 	// telemetry by RunContext.
 	scoap *testability.Metrics
+
+	// allX is the good machine's all-X trace over MaxFrames frames,
+	// shared read-only by every search (see allXTrace); built on first
+	// use by searcher.
+	allXOnce sync.Once
+	allX     []sim.Logic
 }
 
 // New builds an engine; static testability measures are computed once,
 // from the cost model Options.Guide selects.
 func New(nl *netlist.Netlist, opts Options) *Engine {
-	poSet := make(map[int]bool, len(nl.POs))
-	for _, po := range nl.POs {
-		poSet[po] = true
-	}
 	e := &Engine{
 		nl:      nl,
 		opts:    opts.withDefaults(nl),
@@ -144,15 +144,15 @@ func New(nl *netlist.Netlist, opts Options) *Engine {
 		cc0, cc1 = controllability(nl)
 		obs = observationDistance(nl)
 	}
-	e.st = &statics{
-		order:   nl.TopoOrder(),
-		fanouts: nl.Fanouts(),
-		poSet:   poSet,
-		cc0:     cc0,
-		cc1:     cc1,
-		obs:     obs,
-	}
+	e.st = &statics{c: nl.Compile(), cc0: cc0, cc1: cc1, obs: obs}
 	return e
+}
+
+// searcher returns fresh PODEM search buffers for one worker; the
+// worker reuses them for every fault it searches.
+func (e *Engine) searcher() *podem {
+	e.allXOnce.Do(func() { e.allX = allXTrace(e.nl, e.st, e.opts.MaxFrames) })
+	return newPodem(e.nl, e.st, e.allX, e.opts.MaxFrames)
 }
 
 // RunResult is the outcome of a full ATPG run.
@@ -408,7 +408,7 @@ var testFaultPanicHook func(f fault.Fault)
 // structured error instead of killing the process. Sibling faults and
 // the merge replay are unaffected, so the remaining run stays
 // deterministic.
-func (e *Engine) safeTestFault(f fault.Fault, deadline time.Time) (r specResult) {
+func (e *Engine) safeTestFault(p *podem, f fault.Fault, deadline time.Time) (r specResult) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			r = specResult{
@@ -431,7 +431,7 @@ func (e *Engine) safeTestFault(f fault.Fault, deadline time.Time) (r specResult)
 			err:  factorerr.Wrap(factorerr.StageATPG, factorerr.CodePanic, err).WithFault(f.String()),
 		}
 	}
-	seq, status, stats := e.testFault(f, deadline)
+	seq, status, stats := e.testFault(p, f, deadline)
 	return specResult{kind: specAttempted, status: status, seq: seq, stats: stats}
 }
 
@@ -499,6 +499,7 @@ func (e *Engine) deterministicPhase(ctx context.Context, out *RunResult, pool *f
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var p *podem
 			for {
 				c := int(atomic.AddInt64(&next, 1)) - 1
 				if c >= nchunks {
@@ -523,7 +524,10 @@ func (e *Engine) deterministicPhase(ctx context.Context, out *RunResult, pool *f
 						results[k] = specResult{kind: specSkipped}
 						continue
 					}
-					results[k] = e.safeTestFault(res.Faults[fi], deadline)
+					if p == nil {
+						p = e.searcher()
+					}
+					results[k] = e.safeTestFault(p, res.Faults[fi], deadline)
 				}
 				chans[c] <- results
 			}
@@ -603,7 +607,7 @@ func (e *Engine) mergeOne(out *RunResult, pool *fault.Pool, fi int, r specResult
 		// Unreachable when the monotonicity invariant holds (the
 		// canonical set never shrinks), but dropping must stay an
 		// optimization, never a correctness dependency: recompute.
-		if r = e.safeTestFault(res.Faults[fi], deadline); r.kind == specPanic {
+		if r = e.safeTestFault(e.searcher(), res.Faults[fi], deadline); r.kind == specPanic {
 			out.QuarantinedNum++
 			out.Errors = append(out.Errors, r.err)
 			return
@@ -703,12 +707,16 @@ func (e *Engine) flushCheckpoint(out *RunResult, postRandom []bool, merged int) 
 // testFault escalates time frames until the fault is detected, proven
 // untestable at the maximum frame budget, or aborted. The search is
 // fully deterministic: given the same (fault, options), it returns the
-// same sequence regardless of which goroutine runs it.
-func (e *Engine) testFault(f fault.Fault, deadline time.Time) (fault.Sequence, Status, searchStats) {
+// same sequence regardless of which goroutine runs it. p holds the
+// calling worker's search buffers (nil allocates fresh ones).
+func (e *Engine) testFault(p *podem, f fault.Fault, deadline time.Time) (fault.Sequence, Status, searchStats) {
+	if p == nil {
+		p = e.searcher()
+	}
 	var st searchStats
 	last := Untestable
 	for frames := 1; frames <= e.opts.MaxFrames; frames++ {
-		p := newPodem(e.nl, f, frames, e.opts.BacktrackLimit, deadline, e.st)
+		p.reset(f, frames, e.opts.BacktrackLimit, deadline)
 		seq, status := p.run()
 		st.decisions += uint64(p.decisions)
 		st.backtracks += uint64(p.backtracks)

@@ -21,6 +21,7 @@
 package atpg
 
 import (
+	"slices"
 	"time"
 
 	"factor/internal/fault"
@@ -58,111 +59,419 @@ func (s Status) String() string {
 
 const costInf = 1 << 28
 
-// podem is the state of one deterministic search for one fault at a
-// fixed number of time frames.
+// podem is one worker's deterministic search state. A single podem is
+// reused across faults and time-frame escalations (reset), so the
+// steady-state search allocates nothing.
+//
+// Implication is incremental (DESIGN.md §17): both machines start from
+// the Engine's shared all-X good trace, the faulty machine is seeded by
+// event-propagating the stuck value from the fault site, and every
+// decision or flip propagates from the changed primary input only,
+// level by level and across frames at flip-flop edges. Every
+// overwritten value goes on an undo trail, so a backtrack restores the
+// previous state without re-simulating. The D-frontier and the
+// PO-detection test are kept in step with the changed lines.
 type podem struct {
 	nl     *netlist.Netlist
-	order  []int
+	c      *netlist.Compiled
+	ng     int
 	flt    fault.Fault
+	stuck  sim.Logic
 	frames int
 
-	good [][]sim.Logic // [frame][gate]
-	bad  [][]sim.Logic
+	// good and bad are the two three-valued machines; assigned holds
+	// the PI decisions (L0/L1 when decided, LX otherwise; only PI
+	// slots are used). flags carries the derived per-line state
+	// (flagFrontier, flagDetect). All four are indexed [t*ng+gate].
+	good, bad []sim.Logic
+	assigned  []sim.Logic
+	flags     []uint8
 
-	// PI assignments: assigned[frame][gate] is L0/L1 when decided, LX
-	// otherwise. Indexed by gate ID (only PI slots used).
-	assigned [][]sim.Logic
-
-	cc0, cc1 []int        // static 0/1-controllability per gate
-	obsDist  []int        // static distance-to-observation per gate
-	fanouts  [][]int      // shared read-only fanout lists
-	poSet    map[int]bool // shared read-only PO membership
+	base     []sim.Logic // shared read-only all-X good trace
+	cc0, cc1 []int       // static 0/1-controllability per gate
+	obsDist  []int       // static distance-to-observation per gate
 
 	backtracks int
 	decisions  int // PI assignments pushed on the decision stack
 	limit      int
 	deadline   time.Time
+
+	stack []decision
+	trail []change
+	dirty []int32 // lines whose derived state may be stale
+	// siteDrv is the gate driving the faulted pin (-1 for an output
+	// fault): its good value alone decides whether the pin carries D.
+	siteDrv int
+
+	// Event queue: one segment of qbuf per combinational level (offsets
+	// from Compiled.LevelStart), next holds DFF readers for the
+	// following frame, and qstamp dedupes queued gates per frame.
+	qbuf   []int32
+	qlen   []int32
+	maxLvl int
+	next   []int32
+	qstamp []uint32
+	epoch  uint32
+
+	// front holds the D-frontier as keys t*ng+Pos[gate], unordered and
+	// possibly stale or duplicated; frontier() sorts and compacts it
+	// against flagFrontier. nDetect counts the PO lines showing D/D'.
+	front    []int32
+	frontBuf []line
+	nDetect  int
+
+	seen      []uint32 // xPathExists visit stamps, per line
+	seenEpoch uint32
+	xstack    []line
+
+	cands []cand
+	objs  []objective
 }
 
-// newPodem builds one search over the shared per-netlist statics. The
-// statics are read-only, so concurrent searches on different goroutines
-// share them safely.
-func newPodem(nl *netlist.Netlist, f fault.Fault, frames, limit int, deadline time.Time, st *statics) *podem {
+// change is one undo-trail entry: the values line idx held before an
+// implication overwrote them.
+type change struct {
+	idx       int32
+	good, bad sim.Logic
+}
+
+// Derived per-line state kept in step with the line values.
+const (
+	flagFrontier uint8 = 1 << iota // on the D-frontier
+	flagDetect                     // a PO line showing D or D'
+)
+
+// newPodem allocates search buffers for up to maxFrames time frames
+// over the shared per-netlist statics. base is the Engine's all-X good
+// trace (at least maxFrames frames); the statics and base are
+// read-only, so concurrent searches on different goroutines share them
+// safely.
+func newPodem(nl *netlist.Netlist, st *statics, base []sim.Logic, maxFrames int) *podem {
+	c := st.c
+	n := maxFrames * c.NumGates
 	p := &podem{
-		nl: nl, order: st.order, flt: f, frames: frames,
-		limit: limit, deadline: deadline,
+		nl: nl, c: c, ng: c.NumGates, base: base,
 		cc0: st.cc0, cc1: st.cc1, obsDist: st.obs,
-		fanouts: st.fanouts, poSet: st.poSet,
+		good:     make([]sim.Logic, n),
+		bad:      make([]sim.Logic, n),
+		assigned: make([]sim.Logic, n),
+		flags:    make([]uint8, n),
+		seen:     make([]uint32, n),
+		qbuf:     make([]int32, c.NumGates),
+		qlen:     make([]int32, c.NumLevels),
+		qstamp:   make([]uint32, c.NumGates),
+		maxLvl:   -1,
 	}
-	p.good = make([][]sim.Logic, frames)
-	p.bad = make([][]sim.Logic, frames)
-	p.assigned = make([][]sim.Logic, frames)
-	for t := 0; t < frames; t++ {
-		p.good[t] = make([]sim.Logic, len(nl.Gates))
-		p.bad[t] = make([]sim.Logic, len(nl.Gates))
-		p.assigned[t] = make([]sim.Logic, len(nl.Gates))
-		for i := range p.assigned[t] {
-			p.assigned[t][i] = sim.LX
-		}
+	for i := range p.assigned {
+		p.assigned[i] = sim.LX
 	}
 	return p
 }
 
-// simulate recomputes both machines over all frames from the current
-// PI assignments.
-func (p *podem) simulate() {
-	var inBuf [3]sim.Logic
-	var badBuf [3]sim.Logic
-	for t := 0; t < p.frames; t++ {
-		for _, id := range p.order {
-			g := p.nl.Gates[id]
-			var gv, bv sim.Logic
-			switch g.Kind {
-			case netlist.Input:
-				gv = p.assigned[t][id]
-				bv = gv
-			case netlist.Const0:
-				gv, bv = sim.L0, sim.L0
-			case netlist.Const1:
-				gv, bv = sim.L1, sim.L1
-			case netlist.DFF:
-				if t == 0 {
-					gv, bv = sim.LX, sim.LX
-				} else {
-					d := g.Fanin[0]
-					gv = p.good[t-1][d]
-					bv = p.bad[t-1][d]
-					if p.flt.Gate == id && p.flt.Pin == 0 {
-						bv = p.stuckValue()
-					}
-				}
-			default:
-				in := inBuf[:len(g.Fanin)]
-				bin := badBuf[:len(g.Fanin)]
-				for i, f := range g.Fanin {
-					in[i] = p.good[t][f]
-					bin[i] = p.bad[t][f]
-				}
-				if p.flt.Gate == id && p.flt.Pin >= 0 {
-					bin[p.flt.Pin] = p.stuckValue()
-				}
-				gv = sim.EvalGateL(g.Kind, in)
-				bv = sim.EvalGateL(g.Kind, bin)
+// allXTrace computes the good machine over frames time frames with no
+// primary input assigned. It depends only on the netlist, and frame t
+// depends only on frames <= t, so one trace over MaxFrames frames
+// serves every search at every frame count.
+func allXTrace(nl *netlist.Netlist, st *statics, frames int) []sim.Logic {
+	p := newPodem(nl, st, nil, frames)
+	p.flt = fault.Fault{Site: fault.Site{Gate: -1, Pin: -1}}
+	p.frames = frames
+	for t := 0; t < frames; t++ {
+		for _, g := range p.c.Order {
+			gv, _ := p.eval(t, int(g))
+			p.good[t*p.ng+int(g)], p.bad[t*p.ng+int(g)] = gv, gv
+		}
+	}
+	return p.good
+}
+
+// reset starts a search for fault f over the given number of frames:
+// it restores the all-X state, seeds the faulty machine from the fault
+// site and rebuilds the derived line state from the seeded lines.
+func (p *podem) reset(f fault.Fault, frames, limit int, deadline time.Time) {
+	for _, d := range p.stack {
+		p.assigned[d.l.t*p.ng+d.l.g] = sim.LX
+	}
+	p.stack = p.stack[:0]
+	p.flt, p.frames, p.limit, p.deadline = f, frames, limit, deadline
+	p.stuck = sim.L0
+	if f.SAOne {
+		p.stuck = sim.L1
+	}
+	p.siteDrv = -1
+	if f.Pin >= 0 {
+		p.siteDrv = int(p.c.Fanins(f.Gate)[f.Pin])
+	}
+	p.backtracks, p.decisions = 0, 0
+	n := frames * p.ng
+	copy(p.good[:n], p.base[:n])
+	copy(p.bad[:n], p.base[:n])
+	clear(p.flags[:n])
+	p.front = p.front[:0]
+	p.nDetect = 0
+	p.trail = p.trail[:0]
+	p.dirty = p.dirty[:0]
+	// A search that panicked mid-implication may have left events
+	// queued.
+	clear(p.qlen)
+	p.maxLvl = -1
+	p.next = p.next[:0]
+	p.nextEpoch()
+
+	p.imply(0, true)
+	for t := 0; t < frames; t++ {
+		// A pin fault makes its gate a frontier candidate without
+		// changing any line value.
+		p.dirty = append(p.dirty, int32(t*p.ng+f.Gate))
+	}
+	p.flush()
+	p.trail = p.trail[:0]
+}
+
+// eval computes one line of both machines from the current values of
+// its fanins (the previous frame's D input for a flip-flop), injecting
+// the fault on the faulty machine.
+func (p *podem) eval(t, g int) (gv, bv sim.Logic) {
+	c := p.c
+	base := t * p.ng
+	fs := c.FaninStart[g]
+	fl := c.FaninList
+	faulted := g == p.flt.Gate
+	switch k := netlist.GateKind(c.Kind[g]); k {
+	case netlist.Input:
+		gv = p.assigned[base+g]
+		bv = gv
+	case netlist.Const0:
+		gv, bv = sim.L0, sim.L0
+	case netlist.Const1:
+		gv, bv = sim.L1, sim.L1
+	case netlist.DFF:
+		if t == 0 {
+			gv, bv = sim.LX, sim.LX
+		} else {
+			d := base - p.ng + int(fl[fs])
+			gv, bv = p.good[d], p.bad[d]
+			if faulted && p.flt.Pin == 0 {
+				bv = p.stuck
 			}
-			if p.flt.Gate == id && p.flt.Pin < 0 {
-				bv = p.stuckValue()
+		}
+	case netlist.Mux:
+		s, d0, d1 := base+int(fl[fs]), base+int(fl[fs+1]), base+int(fl[fs+2])
+		gv = sim.MuxL(p.good[s], p.good[d0], p.good[d1])
+		bs, b0, b1 := p.bad[s], p.bad[d0], p.bad[d1]
+		if faulted {
+			switch p.flt.Pin {
+			case 0:
+				bs = p.stuck
+			case 1:
+				b0 = p.stuck
+			case 2:
+				b1 = p.stuck
 			}
-			p.good[t][id] = gv
-			p.bad[t][id] = bv
+		}
+		bv = sim.MuxL(bs, b0, b1)
+	case netlist.Buf, netlist.Not:
+		a := base + int(fl[fs])
+		gv = sim.Tab1[k][p.good[a]]
+		ba := p.bad[a]
+		if faulted && p.flt.Pin == 0 {
+			ba = p.stuck
+		}
+		bv = sim.Tab1[k][ba]
+	default:
+		a, b := base+int(fl[fs]), base+int(fl[fs+1])
+		gv = sim.Tab2[k][int(p.good[a])*3+int(p.good[b])]
+		ba, bb := p.bad[a], p.bad[b]
+		if faulted {
+			switch p.flt.Pin {
+			case 0:
+				ba = p.stuck
+			case 1:
+				bb = p.stuck
+			}
+		}
+		bv = sim.Tab2[k][int(ba)*3+int(bb)]
+	}
+	if faulted && p.flt.Pin < 0 {
+		bv = p.stuck
+	}
+	return gv, bv
+}
+
+// push queues gate g for evaluation in the frame being propagated.
+func (p *podem) push(g int32) {
+	if p.qstamp[g] == p.epoch {
+		return
+	}
+	p.qstamp[g] = p.epoch
+	p.place(g)
+}
+
+// place appends g to its level's segment of the queue.
+func (p *podem) place(g int32) {
+	lvl := p.c.Level[g]
+	p.qbuf[p.c.LevelStart[lvl]+p.qlen[lvl]] = g
+	p.qlen[lvl]++
+	if int(lvl) > p.maxLvl {
+		p.maxLvl = int(lvl)
+	}
+}
+
+// imply propagates queued events from frame t to quiescence, frame by
+// frame and level by level, so every line is evaluated at most once per
+// frame, after all its fanins have settled. Changed flip-flop D inputs
+// queue the flip-flop in the next frame. With seed set, the fault gate
+// is also evaluated in every frame (faulty-machine seeding).
+func (p *podem) imply(t int, seed bool) {
+	for ; t < p.frames; t++ {
+		if seed {
+			p.push(int32(p.flt.Gate))
+		}
+		for lvl := 0; lvl <= p.maxLvl; lvl++ {
+			seg := p.qbuf[p.c.LevelStart[lvl]:]
+			for i := int32(0); i < p.qlen[lvl]; i++ {
+				p.evalLine(t, seg[i])
+			}
+			p.qlen[lvl] = 0
+		}
+		p.maxLvl = -1
+		p.nextEpoch()
+		if len(p.next) == 0 && !seed {
+			return
+		}
+		// The next frame's flip-flops were stamped with the new epoch
+		// when queued, so they are placed without another check.
+		for _, g := range p.next {
+			p.place(g)
+		}
+		p.next = p.next[:0]
+	}
+}
+
+// nextEpoch advances the queue stamp, clearing the stamps on the rare
+// wrap-around so a stale stamp can never suppress an event.
+func (p *podem) nextEpoch() {
+	p.epoch++
+	if p.epoch == ^uint32(0) {
+		clear(p.qstamp)
+		p.epoch = 1
+	}
+}
+
+// evalLine re-evaluates line (t, g); on a change it records the old
+// values on the trail and queues the readers: combinational ones in
+// this frame, flip-flops in the next.
+func (p *podem) evalLine(t int, g int32) {
+	gv, bv := p.eval(t, int(g))
+	idx := t*p.ng + int(g)
+	if gv == p.good[idx] && bv == p.bad[idx] {
+		return
+	}
+	p.trail = append(p.trail, change{idx: int32(idx), good: p.good[idx], bad: p.bad[idx]})
+	p.note(t, int(g), idx, gv, bv)
+	c := p.c
+	for _, r := range c.FanoutRefs[c.FanoutStart[g]:c.FanoutStart[g+1]] {
+		if r.Level >= 0 {
+			p.push(r.ID)
+			continue
+		}
+		if t+1 < p.frames && p.qstamp[r.ID] != p.epoch+1 {
+			p.qstamp[r.ID] = p.epoch + 1
+			p.next = append(p.next, r.ID)
 		}
 	}
 }
 
-func (p *podem) stuckValue() sim.Logic {
-	if p.flt.SAOne {
-		return sim.L1
+// note writes (gv, bv) to line idx = (t, g) and queues the lines whose
+// derived state the write can change. A line's own flags read only
+// whether it is X and whether it carries D/D'; its readers' frontier
+// membership reads only whether it carries D/D' — except the faulted
+// pin, whose view is (driver's good value, stuck value).
+func (p *podem) note(t, g, idx int, gv, bv sim.Logic) {
+	og := p.good[idx]
+	co := compOf[int(og)*3+int(p.bad[idx])]
+	cn := compOf[int(gv)*3+int(bv)]
+	p.good[idx], p.bad[idx] = gv, bv
+	if co != cn {
+		dOld, dNew := co >= cD, cn >= cD
+		if (co == cX) != (cn == cX) || dOld != dNew {
+			p.dirty = append(p.dirty, int32(idx))
+		}
+		if dOld != dNew {
+			c := p.c
+			for _, r := range c.FanoutRefs[c.FanoutStart[g]:c.FanoutStart[g+1]] {
+				if r.Level >= 0 {
+					p.dirty = append(p.dirty, int32(t*p.ng)+r.ID)
+				}
+			}
+		}
 	}
-	return sim.L0
+	if g == p.siteDrv && og != gv {
+		p.dirty = append(p.dirty, int32(t*p.ng+p.flt.Gate))
+	}
+}
+
+// flush rechecks the queued lines once all values have settled.
+func (p *podem) flush() {
+	for _, idx := range p.dirty {
+		p.recheck(int(idx)/p.ng, int(idx)%p.ng)
+	}
+	p.dirty = p.dirty[:0]
+}
+
+// assign decides primary input l.g in frame l.t and implies it.
+func (p *podem) assign(l line, v sim.Logic) {
+	p.assigned[l.t*p.ng+l.g] = v
+	p.nextEpoch()
+	p.push(int32(l.g))
+	p.imply(l.t, false)
+	p.flush()
+}
+
+// undo restores every line changed since trail position mark.
+func (p *podem) undo(mark int) {
+	for i := len(p.trail) - 1; i >= mark; i-- {
+		ch := p.trail[i]
+		idx := int(ch.idx)
+		p.note(idx/p.ng, idx%p.ng, idx, ch.good, ch.bad)
+	}
+	p.flush()
+	p.trail = p.trail[:mark]
+}
+
+// recheck recomputes the derived state of line (t, g) from the current
+// values: PO detection (D/D' on a PO line) and D-frontier membership (a
+// combinational gate with composite X output and a D/D' input pin).
+func (p *podem) recheck(t, g int) {
+	idx := t*p.ng + g
+	old := p.flags[idx]
+	nf := uint8(0)
+	cv := compOf[int(p.good[idx])*3+int(p.bad[idx])]
+	if (cv == cD || cv == cDbar) && p.c.IsPO[g] {
+		nf |= flagDetect
+	}
+	if cv == cX && netlist.GateKind(p.c.Kind[g]).Combinational() {
+		for pin := range p.c.Fanins(g) {
+			if v := p.pinValue(t, g, pin); v == cD || v == cDbar {
+				nf |= flagFrontier
+				break
+			}
+		}
+	}
+	if nf == old {
+		return
+	}
+	if (nf^old)&flagDetect != 0 {
+		if nf&flagDetect != 0 {
+			p.nDetect++
+		} else {
+			p.nDetect--
+		}
+	}
+	if nf&flagFrontier != 0 && old&flagFrontier == 0 {
+		p.front = append(p.front, int32(t*p.ng)+p.c.Pos[g])
+	}
+	p.flags[idx] = nf
 }
 
 // composite five-valued view of a line.
@@ -176,32 +485,23 @@ const (
 	cDbar // good 0, faulty 1
 )
 
+// compOf maps (good, faulty) to the composite value, indexed
+// good*3+faulty. A line with either machine X is cX: the search keeps
+// the two machines separate and reads (good 1, faulty X) and the like
+// through the raw planes where it matters.
+var compOf = [9]comp{
+	c0, cDbar, cX, // good 0
+	cD, c1, cX, // good 1
+	cX, cX, cX, // good X
+}
+
 func (p *podem) value(t, g int) comp {
-	gv, bv := p.good[t][g], p.bad[t][g]
-	switch {
-	case gv == sim.L0 && bv == sim.L0:
-		return c0
-	case gv == sim.L1 && bv == sim.L1:
-		return c1
-	case gv == sim.L1 && bv == sim.L0:
-		return cD
-	case gv == sim.L0 && bv == sim.L1:
-		return cDbar
-	}
-	return cX
+	idx := t*p.ng + g
+	return compOf[int(p.good[idx])*3+int(p.bad[idx])]
 }
 
 // detected reports whether any PO shows D/D' in any frame.
-func (p *podem) detected() bool {
-	for t := 0; t < p.frames; t++ {
-		for _, po := range p.nl.POs {
-			if v := p.value(t, po); v == cD || v == cDbar {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (p *podem) detected() bool { return p.nDetect > 0 }
 
 // line is a (frame, gate) pair in the unrolled model.
 type line struct {
@@ -213,9 +513,9 @@ type line struct {
 // site line is the driving gate of that pin.
 func (p *podem) excited() bool {
 	site := p.siteGate()
-	want := sim.NotL(p.stuckValue())
+	want := sim.NotL(p.stuck)
 	for t := 0; t < p.frames; t++ {
-		if p.good[t][site] == want {
+		if p.good[t*p.ng+site] == want {
 			return true
 		}
 	}
@@ -235,18 +535,25 @@ type objective struct {
 	val sim.Logic
 }
 
+// cand is a propagation objective with its observation cost.
+type cand struct {
+	obj  objective
+	cost int
+}
+
 // excitationObjectives lists the frames in which the site could still
 // be activated (good value X). Later frames are easier to justify from
 // unknown initial state, so they come first.
 func (p *podem) excitationObjectives() []objective {
 	site := p.siteGate()
-	want := sim.NotL(p.stuckValue())
-	var out []objective
+	want := sim.NotL(p.stuck)
+	out := p.objs[:0]
 	for t := p.frames - 1; t >= 0; t-- {
-		if p.good[t][site] == sim.LX {
+		if p.good[t*p.ng+site] == sim.LX {
 			out = append(out, objective{l: line{t, site}, val: want})
 		}
 	}
+	p.objs = out
 	return out
 }
 
@@ -254,97 +561,99 @@ func (p *podem) excitationObjectives() []objective {
 // gate, accounting for the fault injection on the faulted pin (where
 // the faulty machine sees the stuck value regardless of the driver).
 func (p *podem) pinValue(t, gate, pin int) comp {
-	drv := p.nl.Gates[gate].Fanin[pin]
-	gv := p.good[t][drv]
-	bv := p.bad[t][drv]
+	idx := t*p.ng + int(p.c.FaninList[int(p.c.FaninStart[gate])+pin])
+	gv, bv := p.good[idx], p.bad[idx]
 	if p.flt.Gate == gate && p.flt.Pin == pin {
-		bv = p.stuckValue()
+		bv = p.stuck
 	}
-	switch {
-	case gv == sim.L0 && bv == sim.L0:
-		return c0
-	case gv == sim.L1 && bv == sim.L1:
-		return c1
-	case gv == sim.L1 && bv == sim.L0:
-		return cD
-	case gv == sim.L0 && bv == sim.L1:
-		return cDbar
-	}
-	return cX
+	return compOf[int(gv)*3+int(bv)]
 }
 
-// dFrontier returns combinational gates with a D/D' input pin and an X
-// output. Input-pin faults surface here through pinValue: once the
-// faulted pin's good value opposes the stuck value, the faulted gate
-// itself joins the frontier.
-func (p *podem) dFrontier() []line {
-	var out []line
-	for t := 0; t < p.frames; t++ {
-		for _, id := range p.order {
-			g := p.nl.Gates[id]
-			if !g.Kind.Combinational() {
-				continue
-			}
-			if p.value(t, id) != cX {
-				continue
-			}
-			for pin := range g.Fanin {
-				if v := p.pinValue(t, id, pin); v == cD || v == cDbar {
-					out = append(out, line{t, id})
-					break
-				}
-			}
+// frontier returns the D-frontier — combinational gates with a D/D'
+// input pin and an X output — in (frame ascending, topological
+// position) order, the order the propagation objectives tie-break by.
+// Input-pin faults surface here through pinValue: once the faulted
+// pin's good value opposes the stuck value, the faulted gate itself
+// joins the frontier.
+func (p *podem) frontier() []line {
+	slices.Sort(p.front)
+	out := p.frontBuf[:0]
+	w := 0
+	prev := int32(-1)
+	for _, k := range p.front {
+		if k == prev {
+			continue
 		}
+		prev = k
+		t, g := int(k)/p.ng, int(p.c.Order[int(k)%p.ng])
+		if p.flags[t*p.ng+g]&flagFrontier == 0 {
+			continue
+		}
+		p.front[w] = k
+		w++
+		out = append(out, line{t, g})
 	}
+	p.front = p.front[:w]
+	p.frontBuf = out
 	return out
 }
 
 // xPathExists checks whether any X-valued path leads from l to a PO,
 // crossing frames through flip-flops.
-func (p *podem) xPathExists(l line, fanouts [][]int, poSet map[int]bool) bool {
-	seen := map[line]bool{}
-	stack := []line{l}
-	for len(stack) > 0 {
+func (p *podem) xPathExists(l line) bool {
+	p.seenEpoch++
+	if p.seenEpoch == 0 {
+		clear(p.seen)
+		p.seenEpoch = 1
+	}
+	c := p.c
+	stack := append(p.xstack[:0], l)
+	found := false
+	for len(stack) > 0 && !found {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[cur] {
+		idx := cur.t*p.ng + cur.g
+		if p.seen[idx] == p.seenEpoch {
 			continue
 		}
-		seen[cur] = true
-		if poSet[cur.g] {
-			return true
+		p.seen[idx] = p.seenEpoch
+		if c.IsPO[cur.g] {
+			found = true
+			break
 		}
-		for _, fo := range fanouts[cur.g] {
-			fg := p.nl.Gates[fo]
-			if fg.Kind == netlist.DFF {
+		for _, r := range c.FanoutRefs[c.FanoutStart[cur.g]:c.FanoutStart[cur.g+1]] {
+			fo := int(r.ID)
+			if r.Level < 0 {
 				if cur.t+1 < p.frames && p.value(cur.t+1, fo) == cX {
 					stack = append(stack, line{cur.t + 1, fo})
 				}
 				continue
 			}
-			if fg.Kind.Combinational() && p.value(cur.t, fo) == cX {
+			if p.value(cur.t, fo) == cX {
 				stack = append(stack, line{cur.t, fo})
 			}
 		}
 	}
-	return false
+	p.xstack = stack[:0]
+	return found
 }
 
 // objectives lists candidate value objectives, PODEM-style, best
 // first. The search tries them in order until one backtraces to an
 // assignable primary input.
-func (p *podem) objectives(fanouts [][]int, poSet map[int]bool) []objective {
+func (p *podem) objectives() []objective {
 	if !p.excited() {
 		return p.excitationObjectives()
 	}
-	frontier := p.dFrontier()
-	type cand struct {
-		obj  objective
-		cost int
-	}
-	var cands []cand
+	return p.propagationObjectives(p.frontier())
+}
+
+// propagationObjectives turns the ordered D-frontier into propagation
+// objectives, stable-sorted by the frontier gate's observation cost.
+func (p *podem) propagationObjectives(frontier []line) []objective {
+	cands := p.cands[:0]
 	for _, fl := range frontier {
-		if !p.xPathExists(fl, fanouts, poSet) {
+		if !p.xPathExists(fl) {
 			continue
 		}
 		g := p.nl.Gates[fl.g]
@@ -360,10 +669,11 @@ func (p *podem) objectives(fanouts [][]int, poSet map[int]bool) []objective {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
 		}
 	}
-	out := make([]objective, len(cands))
-	for i, c := range cands {
-		out[i] = c.obj
+	out := p.objs[:0]
+	for _, c := range cands {
+		out = append(out, c.obj)
 	}
+	p.cands, p.objs = cands, out
 	return out
 }
 
@@ -376,7 +686,7 @@ func (p *podem) propagationInput(fl line, g *netlist.Gate) (line, sim.Logic, boo
 		sv := p.pinValue(fl.t, fl.g, 0)
 		if sv == cD || sv == cDbar {
 			// D on select: make the data inputs differ.
-			for pin, di := range []int{d0, d1} {
+			for pin, di := range [2]int{d0, d1} {
 				if p.pinValue(fl.t, fl.g, pin+1) == cX {
 					other := p.pinValue(fl.t, fl.g, 2-pin)
 					switch other {
@@ -429,7 +739,7 @@ func (p *podem) backtrace(obj line, val sim.Logic) (line, sim.Logic, bool) {
 			// and the search would repeat this exact backtrace forever;
 			// fail instead so the caller tries the next objective or
 			// backtracks.
-			if p.assigned[cur.t][cur.g] != sim.LX {
+			if p.assigned[cur.t*p.ng+cur.g] != sim.LX {
 				return line{}, sim.LX, false
 			}
 			return cur, val, true
@@ -580,37 +890,35 @@ func (p *podem) pickInput(cur line, g *netlist.Gate, want sim.Logic, easy bool) 
 	return line{cur.t, best}, true
 }
 
-// decision is one PI assignment on the decision stack.
+// decision is one PI assignment on the decision stack. mark is the
+// trail position before the assignment was implied: undoing to it
+// restores the state the decision was taken in.
 type decision struct {
 	l       line
 	val     sim.Logic
 	flipped bool
+	mark    int
 }
 
-// run executes the PODEM search. It returns the discovered test
-// sequence on success.
+// podemIterHook, when non-nil, runs at the top of every search
+// iteration, after implication — the test-only observation point for
+// checking the incremental state against full re-simulation.
+var podemIterHook func(p *podem)
+
+// run executes the PODEM search prepared by reset. It returns the
+// discovered test sequence on success.
 func (p *podem) run() (fault.Sequence, Status) {
-	fanouts, poSet := p.fanouts, p.poSet
-	var stack []decision
 	for iter := 0; ; iter++ {
 		if iter&63 == 0 && !p.deadline.IsZero() && time.Now().After(p.deadline) {
 			return nil, Aborted
 		}
-		p.simulate()
+		if podemIterHook != nil {
+			podemIterHook(p)
+		}
 		if p.detected() {
 			return p.extractSequence(), Detected
 		}
-		advanced := false
-		for _, obj := range p.objectives(fanouts, poSet) {
-			if pi, pv, ok := p.backtrace(obj.l, obj.val); ok {
-				stack = append(stack, decision{l: pi, val: pv})
-				p.decisions++
-				p.assigned[pi.t][pi.g] = pv
-				advanced = true
-				break
-			}
-		}
-		if advanced {
+		if p.decide() {
 			continue
 		}
 		// Backtrack.
@@ -618,21 +926,43 @@ func (p *podem) run() (fault.Sequence, Status) {
 		if p.backtracks > p.limit {
 			return nil, Aborted
 		}
-		for {
-			if len(stack) == 0 {
-				return nil, Untestable
-			}
-			top := &stack[len(stack)-1]
-			if !top.flipped {
-				top.flipped = true
-				top.val = sim.NotL(top.val)
-				p.assigned[top.l.t][top.l.g] = top.val
-				break
-			}
-			p.assigned[top.l.t][top.l.g] = sim.LX
-			stack = stack[:len(stack)-1]
+		if !p.backtrack() {
+			return nil, Untestable
 		}
 	}
+}
+
+// decide pushes and implies the first objective that backtraces to an
+// assignable primary input; false when none does.
+func (p *podem) decide() bool {
+	for _, obj := range p.objectives() {
+		if pi, pv, ok := p.backtrace(obj.l, obj.val); ok {
+			p.stack = append(p.stack, decision{l: pi, val: pv, mark: len(p.trail)})
+			p.decisions++
+			p.assign(pi, pv)
+			return true
+		}
+	}
+	return false
+}
+
+// backtrack flips the deepest unflipped decision, popping flipped ones
+// above it; false when the stack is exhausted. Both first undo the
+// decision's trail segment, restoring the state it was taken in.
+func (p *podem) backtrack() bool {
+	for len(p.stack) > 0 {
+		top := &p.stack[len(p.stack)-1]
+		p.undo(top.mark)
+		if !top.flipped {
+			top.flipped = true
+			top.val = sim.NotL(top.val)
+			p.assign(top.l, top.val)
+			return true
+		}
+		p.assigned[top.l.t*p.ng+top.l.g] = sim.LX
+		p.stack = p.stack[:len(p.stack)-1]
+	}
+	return false
 }
 
 // extractSequence converts the PI assignments into a test sequence.
@@ -643,7 +973,7 @@ func (p *podem) extractSequence() fault.Sequence {
 	for t := 0; t < p.frames; t++ {
 		vec := fault.Vector{}
 		for i, pi := range p.nl.PIs {
-			if v := p.assigned[t][pi]; v != sim.LX {
+			if v := p.assigned[t*p.ng+pi]; v != sim.LX {
 				vec[p.nl.PINames[i]] = v
 			}
 		}
