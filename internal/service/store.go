@@ -62,13 +62,26 @@ func (s *Store) jobPath(id string) string {
 }
 
 // writeFileAtomic writes data via a temp file + rename so readers
-// never observe a torn file.
+// never observe a torn file. The temp name is unique: two jobs with the
+// same content address can publish the same entry at once, and a
+// shared temp name let one writer rename the other's file away.
 func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
 		return factorerr.Wrap(factorerr.StageIO, factorerr.CodeIO, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return factorerr.Wrap(factorerr.StageIO, factorerr.CodeIO, err)
 	}
 	return nil
