@@ -296,3 +296,26 @@ func TestMuxFaultPropagation(t *testing.T) {
 		t.Errorf("mux coverage = %.1f%%, want 100%%", res.Coverage())
 	}
 }
+
+// TestWithDefaultsDepthDerived pins the two sequential-depth-derived
+// defaults, which share one SequentialDepth computation, and checks
+// that explicit values are kept.
+func TestWithDefaultsDepthDerived(t *testing.T) {
+	nl := buildShiftChain()
+	d := nl.SequentialDepth()
+	if d < 1 {
+		t.Fatalf("shift chain sequential depth %d, want >= 1", d)
+	}
+	o := Options{}.withDefaults(nl)
+	if o.MaxFrames != d+2 || o.RandomSeqLen != 2*d+4 {
+		t.Errorf("depth %d: MaxFrames %d RandomSeqLen %d, want %d and %d", d, o.MaxFrames, o.RandomSeqLen, d+2, 2*d+4)
+	}
+	o = Options{MaxFrames: 7}.withDefaults(nl)
+	if o.MaxFrames != 7 || o.RandomSeqLen != 2*d+4 {
+		t.Errorf("explicit MaxFrames: got %d/%d, want 7/%d", o.MaxFrames, o.RandomSeqLen, 2*d+4)
+	}
+	o = Options{RandomSeqLen: 5}.withDefaults(nl)
+	if o.MaxFrames != d+2 || o.RandomSeqLen != 5 {
+		t.Errorf("explicit RandomSeqLen: got %d/%d, want %d/5", o.MaxFrames, o.RandomSeqLen, d+2)
+	}
+}

@@ -68,9 +68,14 @@ type Options struct {
 }
 
 func (o Options) withDefaults(nl *netlist.Netlist) Options {
+	// SequentialDepth rebuilds the flop adjacency on every call, so it
+	// is computed at most once for both depth-derived defaults.
+	depth := 0
+	if o.MaxFrames <= 0 || o.RandomSeqLen <= 0 {
+		depth = nl.SequentialDepth()
+	}
 	if o.MaxFrames <= 0 {
-		d := nl.SequentialDepth()
-		o.MaxFrames = clamp(d+2, 1, 24)
+		o.MaxFrames = clamp(depth+2, 1, 24)
 	}
 	if o.BacktrackLimit <= 0 {
 		o.BacktrackLimit = 512
@@ -79,7 +84,7 @@ func (o Options) withDefaults(nl *netlist.Netlist) Options {
 		o.RandomSequences = 64
 	}
 	if o.RandomSeqLen <= 0 {
-		o.RandomSeqLen = clamp(nl.SequentialDepth()*2+4, 4, 48)
+		o.RandomSeqLen = clamp(depth*2+4, 4, 48)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

@@ -12,6 +12,7 @@ package netlist
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -470,39 +471,45 @@ func (n *Netlist) SequentialDepth() int {
 }
 
 // flopAdjacency returns for each DFF the set of DFFs reachable through
-// combinational logic from its output to their D inputs.
+// combinational logic from its output to their D inputs. Each list is
+// in n.DFFs order.
 func (n *Netlist) flopAdjacency() map[int][]int {
 	// For each gate, the set of source flops feeding it through
-	// combinational logic, computed in topological order.
-	order := n.TopoOrder()
-	sources := make(map[int]map[int]bool, len(n.Gates))
-	for _, id := range order {
+	// combinational logic, computed in topological order as a bitset
+	// over n.DFFs indices.
+	bit := make(map[int]int, len(n.DFFs))
+	for i, f := range n.DFFs {
+		bit[f] = i
+	}
+	words := (len(n.DFFs) + 63) / 64
+	sources := make([][]uint64, len(n.Gates))
+	for _, id := range n.TopoOrder() {
 		g := n.Gates[id]
 		switch {
 		case g.Kind == DFF:
-			sources[id] = map[int]bool{id: true}
+			set := make([]uint64, words)
+			if i, ok := bit[id]; ok {
+				set[i/64] |= 1 << (i % 64)
+			}
+			sources[id] = set
 		case g.Kind.Combinational():
-			set := map[int]bool{}
+			set := make([]uint64, words)
 			for _, f := range g.Fanin {
-				for s := range sources[f] {
-					set[s] = true
+				for w, v := range sources[f] {
+					set[w] |= v
 				}
 			}
 			sources[id] = set
 		}
 	}
 	adj := make(map[int][]int, len(n.DFFs))
-	for _, f := range n.DFFs {
-		d := n.Gates[f].Fanin[0]
-		seen := map[int]bool{}
-		for s := range sources[d] {
-			if s != f && !seen[s] {
-				seen[s] = true
-			}
-		}
-		for _, src := range n.DFFs {
-			if seen[src] {
-				adj[src] = append(adj[src], f)
+	for fi, f := range n.DFFs {
+		for w, v := range sources[n.Gates[f].Fanin[0]] {
+			for ; v != 0; v &= v - 1 {
+				si := w*64 + bits.TrailingZeros64(v)
+				if si != fi {
+					adj[n.DFFs[si]] = append(adj[n.DFFs[si]], f)
+				}
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -306,5 +308,58 @@ func TestGateKindStrings(t *testing.T) {
 	}
 	if GateKind(99).String() == "" {
 		t.Error("unknown kind should still render")
+	}
+}
+
+// refFlopAdjacency is the direct map-of-sets formulation of
+// flopAdjacency, kept as its reference.
+func refFlopAdjacency(n *Netlist) map[int][]int {
+	sources := make(map[int]map[int]bool, len(n.Gates))
+	for _, id := range n.TopoOrder() {
+		g := n.Gates[id]
+		switch {
+		case g.Kind == DFF:
+			sources[id] = map[int]bool{id: true}
+		case g.Kind.Combinational():
+			set := map[int]bool{}
+			for _, f := range g.Fanin {
+				for s := range sources[f] {
+					set[s] = true
+				}
+			}
+			sources[id] = set
+		}
+	}
+	adj := make(map[int][]int, len(n.DFFs))
+	for _, f := range n.DFFs {
+		src := sources[n.Gates[f].Fanin[0]]
+		for _, s := range n.DFFs {
+			if s != f && src[s] {
+				adj[s] = append(adj[s], f)
+			}
+		}
+	}
+	return adj
+}
+
+// TestFlopAdjacencyMatchesReference checks the bitset flop adjacency
+// against the reference, list order included (SequentialDepth's
+// cycle-breaking DFS depends on it), on random circuits with feedback.
+func TestFlopAdjacencyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		n := randomNetlist(rng, 1+rng.Intn(4), 20+rng.Intn(300))
+		// Close some register loops: rewire flop D pins to later logic.
+		for _, f := range n.DFFs {
+			if rng.Intn(3) == 0 {
+				n.SetFanin(f, 0, rng.Intn(len(n.Gates)))
+			}
+		}
+		if err := n.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got, want := n.flopAdjacency(), refFlopAdjacency(n); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: flop adjacency %v, reference %v", trial, got, want)
+		}
 	}
 }
