@@ -29,8 +29,10 @@ import (
 // carrying a generation counter, the payload length, and a CRC32 of
 // the payload, so a torn or corrupt file is detected at load instead
 // of being half-trusted, plus the previous-good backup journal
-// (path.prev) that LoadLatest falls back to.
-const CheckpointVersion = 3
+// (path.prev) that LoadLatest falls back to; 4 = added the per-fault
+// deterministic-phase "outcome", from which the class counts are
+// derived, so a fault a later test detects is counted detected only.
+const CheckpointVersion = 4
 
 // BackupSuffix is appended to the journal path for the previous-good
 // generation kept by WriteFile's rotation.
@@ -90,6 +92,12 @@ type Checkpoint struct {
 	AbortedNum     int `json:"aborted"`
 	NotAttempted   int `json:"not_attempted"`
 	QuarantinedNum int `json:"quarantined"`
+
+	// Outcome holds each fault's deterministic-phase class at the merge
+	// position (0 unmerged or detected, 1 untestable, 2 aborted, 3 not
+	// attempted, 4 quarantined). The class counts above are derived from
+	// it and Detected.
+	Outcome []uint8 `json:"outcome"`
 
 	// Stats journals the deterministic work counters at the merge
 	// position, so a resumed run's totals equal the uninterrupted
@@ -422,9 +430,9 @@ func (ck *Checkpoint) validate(fingerprint string, nfaults int) error {
 			"checkpoint fingerprint %s does not match this netlist/options/fault list (%s)",
 			ck.Fingerprint, fingerprint)
 	}
-	if len(ck.PostRandom) != nfaults || len(ck.Detected) != nfaults {
+	if len(ck.PostRandom) != nfaults || len(ck.Detected) != nfaults || len(ck.Outcome) != nfaults {
 		return factorerr.New(factorerr.StageATPG, factorerr.CodeCheckpointMismatch,
-			"checkpoint bitmap length %d/%d, want %d", len(ck.PostRandom), len(ck.Detected), nfaults)
+			"checkpoint bitmap length %d/%d/%d, want %d", len(ck.PostRandom), len(ck.Detected), len(ck.Outcome), nfaults)
 	}
 	pending := 0
 	for i, d := range ck.PostRandom {

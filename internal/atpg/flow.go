@@ -195,6 +195,43 @@ type RunResult struct {
 	// journaledTests tracks how many of Tests have already been
 	// counted into Stats.JournaledTests by checkpoint flushes.
 	journaledTests uint64
+
+	// outcome is each fault's deterministic-phase class (outcome*
+	// constants). The class counts above are derived from it by tally,
+	// so a fault a later test detects counts as detected only.
+	outcome []uint8
+}
+
+// Deterministic-phase outcome of one merged fault. A fault that is
+// detected — by the random phase, its own test or a later test's
+// fault simulation — counts as detected whatever its outcome.
+const (
+	outcomeNone         uint8 = iota // not merged, or dropped as detected
+	outcomeUntestable                // search space exhausted
+	outcomeAborted                   // backtrack or time limit, or unconfirmed test
+	outcomeNotAttempted              // reached after the time budget
+	outcomeQuarantined               // search panicked
+)
+
+// tally derives the undetected class counts from the per-fault
+// outcomes and the detected set, so every fault lands in one class.
+func (r *RunResult) tally() {
+	r.UntestableNum, r.AbortedNum, r.NotAttempted, r.QuarantinedNum = 0, 0, 0, 0
+	for fi, o := range r.outcome {
+		if r.Result.Detected[fi] {
+			continue
+		}
+		switch o {
+		case outcomeUntestable:
+			r.UntestableNum++
+		case outcomeAborted:
+			r.AbortedNum++
+		case outcomeNotAttempted:
+			r.NotAttempted++
+		case outcomeQuarantined:
+			r.QuarantinedNum++
+		}
+	}
 }
 
 // Coverage is the fault coverage percentage.
@@ -265,7 +302,7 @@ func (e *Engine) RunContext(ctx context.Context, faults []fault.Fault) (*RunResu
 		ctx = context.Background()
 	}
 	res := fault.NewResult(faults)
-	out := &RunResult{Result: res, TotalFaults: len(faults)}
+	out := &RunResult{Result: res, TotalFaults: len(faults), outcome: make([]uint8, len(faults))}
 	pool := fault.NewPool(e.nl, e.workers)
 	tel := telemetry.FromContext(ctx)
 	defer func() { out.publishTelemetry(tel) }()
@@ -295,10 +332,8 @@ func (e *Engine) RunContext(ctx context.Context, faults []fault.Fault) (*RunResu
 		out.Tests = append(out.Tests, ck.Tests...)
 		out.DetectedRandom = ck.DetectedRandom
 		out.DetectedDet = ck.DetectedDet
-		out.UntestableNum = ck.UntestableNum
-		out.AbortedNum = ck.AbortedNum
-		out.NotAttempted = ck.NotAttempted
-		out.QuarantinedNum = ck.QuarantinedNum
+		copy(out.outcome, ck.Outcome)
+		out.tally()
 		out.Stats = ck.Stats
 		out.journaledTests = uint64(len(ck.Tests))
 		for _, ce := range ck.Errors {
@@ -329,6 +364,7 @@ func (e *Engine) RunContext(ctx context.Context, faults []fault.Fault) (*RunResu
 	start := time.Now()
 	sp := tel.StartSpan("atpg.deterministic")
 	err := e.deterministicPhase(ctx, out, pool, deadline, postRandom, startMerged)
+	out.tally()
 	sp.End()
 	out.DetTime = time.Since(start)
 	return out, err
@@ -602,10 +638,10 @@ func (e *Engine) mergeOne(out *RunResult, pool *fault.Pool, fi int, r specResult
 	}
 	switch r.kind {
 	case specDeadline:
-		out.NotAttempted++
+		out.outcome[fi] = outcomeNotAttempted
 		return
 	case specPanic:
-		out.QuarantinedNum++
+		out.outcome[fi] = outcomeQuarantined
 		out.Errors = append(out.Errors, r.err)
 		return
 	case specSkipped:
@@ -613,7 +649,7 @@ func (e *Engine) mergeOne(out *RunResult, pool *fault.Pool, fi int, r specResult
 		// canonical set never shrinks), but dropping must stay an
 		// optimization, never a correctness dependency: recompute.
 		if r = e.safeTestFault(e.searcher(), res.Faults[fi], deadline); r.kind == specPanic {
-			out.QuarantinedNum++
+			out.outcome[fi] = outcomeQuarantined
 			out.Errors = append(out.Errors, r.err)
 			return
 		}
@@ -645,7 +681,7 @@ func (e *Engine) mergeOne(out *RunResult, pool *fault.Pool, fi int, r specResult
 			// The PODEM model and the fault simulator agree on
 			// 3-valued semantics, so this should not happen; count
 			// it as aborted to stay conservative.
-			out.AbortedNum++
+			out.outcome[fi] = outcomeAborted
 			return
 		}
 		out.Tests = append(out.Tests, filled)
@@ -659,9 +695,9 @@ func (e *Engine) mergeOne(out *RunResult, pool *fault.Pool, fi int, r specResult
 		}
 		out.DetectedDet += newly
 	case Untestable:
-		out.UntestableNum++
+		out.outcome[fi] = outcomeUntestable
 	case Aborted:
-		out.AbortedNum++
+		out.outcome[fi] = outcomeAborted
 	}
 }
 
@@ -680,6 +716,7 @@ func (e *Engine) flushCheckpoint(out *RunResult, postRandom []bool, merged int) 
 		out.Stats.JournaledTests += n - out.journaledTests
 		out.journaledTests = n
 	}
+	out.tally()
 	ck := &Checkpoint{
 		Version:        CheckpointVersion,
 		Fingerprint:    e.fingerprint(out.Result.Faults),
@@ -693,6 +730,7 @@ func (e *Engine) flushCheckpoint(out *RunResult, postRandom []bool, merged int) 
 		AbortedNum:     out.AbortedNum,
 		NotAttempted:   out.NotAttempted,
 		QuarantinedNum: out.QuarantinedNum,
+		Outcome:        append([]uint8(nil), out.outcome...),
 		Stats:          out.Stats,
 	}
 	for _, err := range out.Errors {

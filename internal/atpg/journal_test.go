@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,7 +66,10 @@ func TestDecodeClassifiesCorruption(t *testing.T) {
 	// A different format version is a distinct condition: the tool
 	// build is wrong, not the file.
 	header := strings.SplitN(string(good), "\n", 2)
-	vheader := strings.Replace(header[0], "FACTORCKPT 3", "FACTORCKPT 2", 1)
+	// The previous format version: old journals must read as a version
+	// mismatch, not as corruption.
+	vheader := strings.Replace(header[0], fmt.Sprintf("FACTORCKPT %d", CheckpointVersion),
+		fmt.Sprintf("FACTORCKPT %d", CheckpointVersion-1), 1)
 	if err := os.WriteFile(path, []byte(vheader+"\n"+header[1]), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestLoadLatestFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte(strings.Replace(string(raw), "FACTORCKPT 3", "FACTORCKPT 9", 1)), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(strings.Replace(string(raw), fmt.Sprintf("FACTORCKPT %d", CheckpointVersion), "FACTORCKPT 99", 1)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := LoadLatest(path); !errors.Is(err, &factorerr.Error{Code: factorerr.CodeCheckpointVersion}) {

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,48 +13,54 @@ import (
 	"factor/internal/netlist"
 )
 
-// mutFixture is one paper MUT in composed mode (the transformed module
-// the served pipeline runs ATPG on) with its restricted fault list.
+// mutFixture is one paper MUT's transformed module (the netlist the
+// served pipeline runs ATPG on) with its restricted fault list.
 type mutFixture struct {
 	nl     *netlist.Netlist
 	faults []fault.Fault
-	err    error
 }
 
 var (
-	mutOnce     sync.Once
-	mutFixtures map[string]*mutFixture
+	armOnce   sync.Once
+	armDesign *design.Design
+	armErr    error
+	mutMu     sync.Mutex
+	mutCache  = map[string]*mutFixture{}
 )
 
 // composedMUT builds the composed transformed module of an ARM MUT at
 // the default width, once per test binary.
 func composedMUT(tb testing.TB, path string) (*netlist.Netlist, []fault.Fault) {
+	return armMUT(tb, path, core.ModeComposed)
+}
+
+// armMUT builds the transformed module of an ARM MUT in the given
+// extraction mode at the default width, once per test binary.
+func armMUT(tb testing.TB, path string, mode core.Mode) (*netlist.Netlist, []fault.Fault) {
 	tb.Helper()
-	mutOnce.Do(func() {
-		mutFixtures = map[string]*mutFixture{}
+	armOnce.Do(func() {
 		src, err := arm.Parse()
-		var d *design.Design
 		if err == nil {
-			d, err = design.Analyze(src, arm.Top)
+			armDesign, err = design.Analyze(src, arm.Top)
 		}
-		for _, p := range []string{"u_core.u_alu", "u_core.u_exc"} {
-			fx := &mutFixture{err: err}
-			if err == nil {
-				var tr *core.Transformed
-				tr, fx.err = core.Transform(core.NewExtractor(d, core.ModeComposed), p, nil,
-					core.TransformOptions{TopParams: map[string]int64{"W": 16}})
-				if fx.err == nil {
-					fx.nl = tr.Netlist
-					fx.faults = fault.UniverseRestrictedTo(tr.Netlist, tr.MUTFaultFilter())
-				}
-			}
-			mutFixtures[p] = fx
-		}
+		armErr = err
 	})
-	fx := mutFixtures[path]
-	if fx == nil || fx.err != nil {
-		tb.Fatalf("composed %s: %v", path, fx.err)
+	if armErr != nil {
+		tb.Fatalf("ARM design: %v", armErr)
 	}
+	mutMu.Lock()
+	defer mutMu.Unlock()
+	key := fmt.Sprintf("%s/%d", path, mode)
+	if fx := mutCache[key]; fx != nil {
+		return fx.nl, fx.faults
+	}
+	tr, err := core.Transform(core.NewExtractor(armDesign, mode), path, nil,
+		core.TransformOptions{TopParams: map[string]int64{"W": arm.DefaultWidth}})
+	if err != nil {
+		tb.Fatalf("transform %s: %v", path, err)
+	}
+	fx := &mutFixture{nl: tr.Netlist, faults: fault.UniverseRestrictedTo(tr.Netlist, tr.MUTFaultFilter())}
+	mutCache[key] = fx
 	return fx.nl, fx.faults
 }
 

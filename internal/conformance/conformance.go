@@ -12,7 +12,9 @@
 //	I3 (pattern validity):      every fault ATPG reports detected is
 //	    re-detected by replaying the exported test suite on both the
 //	    packed-parallel and the event-driven fault-simulation engines,
-//	    and the two engines agree fault by fault.
+//	    and the two engines agree fault by fault; the reported fault
+//	    classes (detected, untestable, aborted, not attempted,
+//	    quarantined) partition the fault list.
 //	I4 (determinism):           ATPG results are bit-identical across
 //	    worker counts and across checkpoint/resume.
 //	I5 (guided soundness):      the SCOAP metrics over the compiled
@@ -98,6 +100,7 @@ const (
 	CodeCosim     = "cosim"
 	CodeTransform = "transform"
 	CodeReplay    = "replay"
+	CodeClasses   = "classes"
 	CodeEngines   = "engines"
 	CodeWorkers   = "workers"
 	CodeResume    = "resume"
@@ -307,6 +310,7 @@ func CheckSource(text string, seed int64, opts Options) *Report {
 	base := atpg.New(tr.Netlist, baseOpts).Run(faults)
 	rep.Detected = base.Result.NumDetected()
 	rep.Tests = len(base.Tests)
+	checkClasses(rep, "default", base)
 
 	// I3: replay the exported suite on both engines from scratch.
 	replayP := fault.NewResult(faults)
@@ -377,6 +381,7 @@ func CheckSource(text string, seed int64, opts Options) *Report {
 	guidedOpts := aopts
 	guidedOpts.Guide = atpg.GuideSCOAP
 	guided := atpg.New(tr.Netlist, guidedOpts).Run(faults)
+	checkClasses(rep, "scoap", guided)
 	if base.AbortedNum == 0 && guided.AbortedNum == 0 {
 		for i := range faults {
 			if base.Result.Detected[i] != guided.Result.Detected[i] {
@@ -391,6 +396,17 @@ func CheckSource(text string, seed int64, opts Options) *Report {
 		}
 	}
 	return rep
+}
+
+// checkClasses asserts that a completed run's fault classes partition
+// its fault list: each fault is counted in exactly one class.
+func checkClasses(rep *Report, guide string, rr *atpg.RunResult) {
+	sum := rr.Result.NumDetected() + rr.UntestableNum + rr.AbortedNum + rr.NotAttempted + rr.QuarantinedNum
+	if sum != rr.TotalFaults || rr.DetectedRandom+rr.DetectedDet != rr.Result.NumDetected() {
+		rep.violate(3, CodeClasses, "guide %s: detected %d (%d random + %d deterministic) untestable %d aborted %d not attempted %d quarantined %d sum to %d of %d faults",
+			guide, rr.Result.NumDetected(), rr.DetectedRandom, rr.DetectedDet, rr.UntestableNum, rr.AbortedNum,
+			rr.NotAttempted, rr.QuarantinedNum, sum, rr.TotalFaults)
+	}
 }
 
 // mixSeed derives an independent stream seed (splitmix64 finalizer).
