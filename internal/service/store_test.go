@@ -142,3 +142,39 @@ func TestStoreJobLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreConcurrentPutSameHash publishes one entry from many
+// goroutines at once, as two jobs with the same content address do.
+// Every write must succeed and leave the entry whole with no temp files.
+func TestStoreConcurrentPutSameHash(t *testing.T) {
+	s, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hash = "7c8d517dda4900c862057758f805be6213fe567405795fd609e7b13f072746a2"
+	snap, spec, report := []byte("snapshot\n"), []byte("{}\n"), []byte(`{"tool":"factor"}`+"\n")
+	errs := make(chan error, 16)
+	for i := 0; i < cap(errs); i++ {
+		go func() { errs <- s.PutResult(hash, snap, spec, report) }()
+	}
+	for i := 0; i < cap(errs); i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("concurrent PutResult: %v", err)
+		}
+	}
+	got, err := s.Report(hash)
+	if err != nil || !bytes.Equal(got, report) {
+		t.Fatalf("report after concurrent puts: %q, %v", got, err)
+	}
+	entries, err := os.ReadDir(s.entryDir(hash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("entry holds %v, want exactly spec.json, design.snap and report.json", names)
+	}
+}
