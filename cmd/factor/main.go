@@ -28,7 +28,10 @@
 // the -report bytes are byte-identical to the report the server
 // stores for an equivalent job submission (conformance invariant I8).
 // In -atpg mode -mut is optional (empty targets the whole top) and the
-// ATPG knobs -seed/-seqs/-seqlen/-frames/-backtracks/-guide apply.
+// ATPG knobs -seed/-seqs/-seqlen/-frames/-backtracks/-guide apply. The
+// extraction-only flags -piers, -stats, -o and -dir have no effect on
+// the pipeline, so setting any of them with -atpg is a usage error
+// (exit 2).
 package main
 
 import (
@@ -75,6 +78,9 @@ func main() {
 	flag.Parse()
 
 	if *atpgMode {
+		if err := atpgFlagConflicts(flag.CommandLine); err != nil {
+			cli.Usagef("factor", "%v", err)
+		}
 		runATPGPipeline(atpgArgs{
 			designFile: *designFile, top: *top, width: *width, mut: *mut,
 			mode: *mode, seed: *seed, seqs: *seqs, seqLen: *seqLen,
@@ -221,6 +227,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "factor: %s\n", factorerr.FormatChain(runErr))
 		os.Exit(factorerr.ExitCode(runErr))
 	}
+}
+
+// extractionOnlyFlags are parsed for extraction mode but never reach
+// the -atpg pipeline: it adds no PIERs, prints no extraction statistics
+// and writes no transformed Verilog.
+var extractionOnlyFlags = map[string]bool{"piers": true, "stats": true, "o": true, "dir": true}
+
+// atpgFlagConflicts rejects the extraction-only flags set explicitly on
+// the command line of an -atpg run, so no flag is silently ignored.
+func atpgFlagConflicts(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if extractionOnlyFlags[f.Name] {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s cannot be used with -atpg: the pipeline adds no PIERs, prints no extraction statistics and writes no Verilog (use -report for its report)",
+		strings.Join(set, ", "))
 }
 
 // atpgArgs carries the -atpg mode flag values.
