@@ -28,12 +28,6 @@ var (
 	mutCache  = map[string]*mutFixture{}
 )
 
-// composedMUT builds the composed transformed module of an ARM MUT at
-// the default width, once per test binary.
-func composedMUT(tb testing.TB, path string) (*netlist.Netlist, []fault.Fault) {
-	return armMUT(tb, path, core.ModeComposed)
-}
-
 // armMUT builds the transformed module of an ARM MUT in the given
 // extraction mode at the default width, once per test binary.
 func armMUT(tb testing.TB, path string, mode core.Mode) (*netlist.Netlist, []fault.Fault) {
@@ -89,7 +83,7 @@ func BenchmarkPODEMSearch(b *testing.B) {
 		{"exc", "u_core.u_exc", Options{BacktrackLimit: 16}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			nl, faults := composedMUT(b, bc.path)
+			nl, faults := armMUT(b, bc.path, core.ModeComposed)
 			faults = sampleFaults(faults, 64)
 			e := New(nl, bc.opts)
 			p := e.searcher()
@@ -118,7 +112,7 @@ func TestPODEMZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ARM exception-unit extraction in -short mode")
 	}
-	nl, faults := composedMUT(t, "u_core.u_exc")
+	nl, faults := armMUT(t, "u_core.u_exc", core.ModeComposed)
 	e := New(nl, Options{BacktrackLimit: 16})
 	p := e.searcher()
 	var target fault.Fault
