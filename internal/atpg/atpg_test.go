@@ -80,7 +80,7 @@ func buildRedundant() (*netlist.Netlist, fault.Fault) {
 func TestRedundantFaultProvenUntestable(t *testing.T) {
 	nl, f := buildRedundant()
 	eng := New(nl, Options{DisableRandomPhase: true})
-	seq, status, _ := eng.testFault(nil, f, time.Time{})
+	seq, status, _ := eng.testFault(eng.searcher(), f, time.Time{})
 	if status != Untestable {
 		t.Errorf("status = %v (seq=%v), want untestable", status, seq)
 	}
@@ -95,7 +95,7 @@ func TestGeneratedTestsActuallyDetect(t *testing.T) {
 	faults := fault.Universe(nl)
 	eng := New(nl, Options{Seed: 9, DisableRandomPhase: true})
 	for _, f := range faults {
-		seq, status, _ := eng.testFault(nil, f, time.Time{})
+		seq, status, _ := eng.testFault(eng.searcher(), f, time.Time{})
 		if status != Detected {
 			t.Errorf("fault %v: status %v", f, status)
 			continue
@@ -153,7 +153,7 @@ func TestSequentialMultiFrame(t *testing.T) {
 	// then 3 clocks to reach the output).
 	f := fault.Fault{Site: fault.Site{Gate: nl.PI("d"), Pin: -1}, SAOne: false}
 	eng := New(nl, Options{DisableRandomPhase: true})
-	seq, status, _ := eng.testFault(nil, f, time.Time{})
+	seq, status, _ := eng.testFault(eng.searcher(), f, time.Time{})
 	if status != Detected {
 		t.Fatalf("status = %v, want detected", status)
 	}
@@ -202,7 +202,7 @@ func TestBacktrackLimitAborts(t *testing.T) {
 	nl := buildShiftChain()
 	f := fault.Fault{Site: fault.Site{Gate: nl.PI("d"), Pin: -1}, SAOne: false}
 	eng := New(nl, Options{DisableRandomPhase: true, BacktrackLimit: 1, MaxFrames: 2})
-	_, status, _ := eng.testFault(nil, f, time.Time{})
+	_, status, _ := eng.testFault(eng.searcher(), f, time.Time{})
 	// With MaxFrames=2 the fault cannot reach the PO: the engine must
 	// prove untestable-within-budget or abort, never detect.
 	if status == Detected {

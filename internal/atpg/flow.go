@@ -333,7 +333,6 @@ func (e *Engine) RunContext(ctx context.Context, faults []fault.Fault) (*RunResu
 		out.DetectedRandom = ck.DetectedRandom
 		out.DetectedDet = ck.DetectedDet
 		copy(out.outcome, ck.Outcome)
-		out.tally()
 		out.Stats = ck.Stats
 		out.journaledTests = uint64(len(ck.Tests))
 		for _, ce := range ck.Errors {
@@ -751,11 +750,8 @@ func (e *Engine) flushCheckpoint(out *RunResult, postRandom []bool, merged int) 
 // untestable at the maximum frame budget, or aborted. The search is
 // fully deterministic: given the same (fault, options), it returns the
 // same sequence regardless of which goroutine runs it. p holds the
-// calling worker's search buffers (nil allocates fresh ones).
+// calling worker's search buffers (see searcher).
 func (e *Engine) testFault(p *podem, f fault.Fault, deadline time.Time) (fault.Sequence, Status, searchStats) {
-	if p == nil {
-		p = e.searcher()
-	}
 	var st searchStats
 	last := Untestable
 	for frames := 1; frames <= e.opts.MaxFrames; frames++ {
