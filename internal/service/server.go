@@ -304,15 +304,17 @@ func (s *Server) transition(j *Job, state JobState, errMsg string) {
 	j.hub.publish(event, stateData(j))
 }
 
-// runJob executes one job end to end.
+// runJob executes one job end to end. Each outcome is counted before
+// its terminal state is published, so a client that observes the state
+// also observes the count.
 func (s *Server) runJob(j *Job) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 	j.bindCancel(cancel)
 	if j.cancelRequested() {
-		s.transition(j, JobCanceled, "canceled before start")
 		s.tel.AddCounter("service.jobs_canceled", 1)
+		s.transition(j, JobCanceled, "canceled before start")
 		return
 	}
 	s.transition(j, JobRunning, "")
@@ -356,8 +358,8 @@ func (s *Server) runJob(j *Job) {
 			s.tel.AddCounter("service.resume_fallbacks", 1)
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
-		s.transition(j, JobFailed, "loading checkpoint journal: "+err.Error())
 		s.tel.AddCounter("service.jobs_failed", 1)
+		s.transition(j, JobFailed, "loading checkpoint journal: "+err.Error())
 		return
 	}
 
@@ -378,8 +380,8 @@ func (s *Server) runJob(j *Job) {
 			err = s.store.PutResult(j.Hash, b.Snapshot(), append(spec, '\n'), report)
 		}
 		if err != nil {
-			s.transition(j, JobFailed, "publishing result: "+err.Error())
 			s.tel.AddCounter("service.jobs_failed", 1)
+			s.transition(j, JobFailed, "publishing result: "+err.Error())
 			return
 		}
 		if s.cfg.TraceJobs {
@@ -393,19 +395,19 @@ func (s *Server) runJob(j *Job) {
 			}
 		}
 		s.store.RemoveCheckpoint(j.ID)
-		s.transition(j, JobDone, "")
 		s.tel.AddCounter("service.jobs_completed", 1)
+		s.transition(j, JobDone, "")
 	case s.baseCtx.Err() != nil && !j.cancelRequested():
 		// Server shutdown, not a client cancel: the journal holds the
 		// progress; next boot re-enqueues and resumes.
-		s.transition(j, JobInterrupted, "server shutting down")
 		s.tel.AddCounter("service.jobs_interrupted", 1)
+		s.transition(j, JobInterrupted, "server shutting down")
 	case j.cancelRequested():
-		s.transition(j, JobCanceled, "canceled")
 		s.tel.AddCounter("service.jobs_canceled", 1)
+		s.transition(j, JobCanceled, "canceled")
 	default:
-		s.transition(j, JobFailed, runErr.Error())
 		s.tel.AddCounter("service.jobs_failed", 1)
+		s.transition(j, JobFailed, runErr.Error())
 	}
 }
 
