@@ -38,7 +38,7 @@ const CheckpointVersion = 4
 // generation kept by WriteFile's rotation.
 const BackupSuffix = ".prev"
 
-// frameMagic opens every v3 checkpoint frame header.
+// frameMagic opens every checkpoint frame header (framed since v3).
 const frameMagic = "FACTORCKPT"
 
 // Bounded retry-with-backoff for checkpoint writes: transient errors

@@ -21,7 +21,7 @@ import (
 //	cas/<hh>/<hash>/design.snap   compiled-netlist snapshot (FCSN codec)
 //	cas/<hh>/<hash>/report.json   the canonical report bytes
 //	jobs/<id>.json                job ledger record
-//	jobs/<id>.ckpt                ATPG checkpoint journal (v3, + .prev)
+//	jobs/<id>.ckpt                ATPG checkpoint journal (+ .prev)
 //
 // report.json is written last via rename, so its presence is the
 // completion marker: a crash mid-publish leaves a partial entry that
