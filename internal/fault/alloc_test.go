@@ -19,7 +19,7 @@ func allocFixture(t *testing.T) (es *EventSim, ps *ParallelSim, batch []Fault, s
 	seq = randSeqFor(nl, rng, 10)
 	es = NewEvent(nl)
 	ps = NewParallel(nl)
-	tr = newGoodTrace(nl, nl.Compile(), seq)
+	tr = newGoodTrace(nl, nl.Compile(), []Sequence{seq})
 	return es, ps, faults, seq, tr
 }
 
@@ -28,14 +28,14 @@ func allocFixture(t *testing.T) (es *EventSim, ps *ParallelSim, batch []Fault, s
 // detection — performs zero heap allocations per batch (and therefore
 // per simulated cycle).
 func TestEventSimZeroAllocSteadyState(t *testing.T) {
-	es, _, batch, seq, tr := allocFixture(t)
+	es, _, batch, _, tr := allocFixture(t)
 	// Warm up: grow the worklist buckets and injection lists to their
 	// steady-state capacity.
 	for i := 0; i < 3; i++ {
-		es.runBatch(batch, seq, tr)
+		es.runBatch(batch, tr)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		es.runBatch(batch, seq, tr)
+		es.runBatch(batch, tr)
 	}); allocs != 0 {
 		t.Fatalf("EventSim.runBatch allocates %.1f objects per run in steady state, want 0", allocs)
 	}
@@ -56,14 +56,20 @@ func TestParallelSimZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestGoodTraceComputeReusesStorage asserts the trace scratch is reused
-// across compute calls on same-size sequences.
+// TestGoodTraceComputeReusesStorage asserts the trace storage is
+// reused across compute calls: a full 64-sequence group of unequal
+// lengths, recomputed on warm storage, allocates nothing.
 func TestGoodTraceComputeReusesStorage(t *testing.T) {
-	es, _, _, seq, _ := allocFixture(t)
+	es, _, _, _, _ := allocFixture(t)
+	rng := rand.New(rand.NewSource(67))
+	group := make([]Sequence, groupLanes)
+	for i := range group {
+		group[i] = randSeqWithX(es.nl, rng, 1+i%12)
+	}
 	var tr goodTrace
-	tr.compute(es.nl, es.c, seq)
+	tr.compute(es.nl, es.c, group)
 	if allocs := testing.AllocsPerRun(20, func() {
-		tr.compute(es.nl, es.c, seq)
+		tr.compute(es.nl, es.c, group)
 	}); allocs != 0 {
 		t.Fatalf("goodTrace.compute allocates %.1f objects per run with warm storage, want 0", allocs)
 	}

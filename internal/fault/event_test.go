@@ -90,8 +90,8 @@ func TestEventBatchBitIdentical(t *testing.T) {
 		ps := NewParallel(nl)
 		want := ps.runBatch(faults, seq)
 		es := NewEvent(nl)
-		tr := newGoodTrace(nl, nl.Compile(), seq)
-		got := es.runBatch(faults, seq, tr)
+		tr := newGoodTrace(nl, nl.Compile(), []Sequence{seq})
+		got := es.runBatch(faults, tr)
 		if want != got {
 			t.Fatalf("trial %d: detected-lane masks differ: reference %064b, event %064b", trial, want, got)
 		}
@@ -113,14 +113,8 @@ func TestEventFirstDetectionsMatchesReference(t *testing.T) {
 		for i := range seqs {
 			seqs[i] = randSeqWithX(nl, rng, 4)
 		}
-		c := nl.Compile()
-		traces := make([]*goodTrace, len(seqs))
-		getTrace := func(si int) *goodTrace {
-			if traces[si] == nil {
-				traces[si] = newGoodTrace(nl, c, seqs[si])
-			}
-			return traces[si]
-		}
+		tr := newGoodTrace(nl, nl.Compile(), seqs)
+		getTrace := func(int) *goodTrace { return tr }
 
 		want := make([]int, len(faults))
 		got := make([]int, len(faults))
@@ -163,26 +157,41 @@ func TestEventSerialCrossCheck(t *testing.T) {
 	}
 }
 
-// TestEventGoodTraceMatchesSimulator pins the good-machine trace to
-// the packed logic simulator: lane 0 of a full simulation must equal
-// the scalar trace on every gate and cycle.
+// TestEventGoodTraceMatchesSimulator pins the packed good-machine
+// trace to the logic simulator: for every sequence of a group of
+// unequal lengths, lane s of the trace must equal lane 0 of a separate
+// full simulation of sequence s on every gate and cycle the sequence
+// reaches, and broadcasting that lane must give its canonical splat.
 func TestEventGoodTraceMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	nl := randomCircuit(rng, 5, 90, true)
-	seq := randSeqWithX(nl, rng, 6)
-	tr := newGoodTrace(nl, nl.Compile(), seq)
+	lens := []int{6, 3, 6, 1, 4, 0, 5}
+	seqs := make([]Sequence, len(lens))
+	for i, n := range lens {
+		seqs[i] = randSeqWithX(nl, rng, n)
+	}
+	tr := newGoodTrace(nl, nl.Compile(), seqs)
+	if tr.cycles != 6 {
+		t.Fatalf("trace cycles = %d, want the longest sequence (6)", tr.cycles)
+	}
 
-	s := sim.New(nl)
-	for t2, vec := range seq {
-		s.ApplyVector(map[string]sim.Logic(vec))
-		s.Eval()
-		good := tr.cycle(t2)
-		for id := range nl.Gates {
-			if got := s.Value(id).Lane(0); got != good[id] {
-				t.Fatalf("cycle %d gate %d: trace %v, simulator %v", t2, id, good[id], got)
+	for lane, seq := range seqs {
+		s := sim.New(nl)
+		for t2, vec := range seq {
+			s.ApplyVector(map[string]sim.Logic(vec))
+			s.Eval()
+			good := tr.cycle(t2)
+			for id := range nl.Gates {
+				want := s.Value(id).Lane(0)
+				if got := good[id].Lane(lane); got != want {
+					t.Fatalf("seq %d cycle %d gate %d: trace %v, simulator %v", lane, t2, id, got, want)
+				}
+				if got := laneOf(good[id], uint(lane)); got != sim.Splat(want) {
+					t.Fatalf("seq %d cycle %d gate %d: laneOf = %+v, want splat of %v", lane, t2, id, got, want)
+				}
 			}
+			s.Step()
 		}
-		s.Step()
 	}
 }
 
