@@ -19,7 +19,7 @@ func RandomSequences(nl *netlist.Netlist, seed uint64, nSeqs, cycles int) []Sequ
 	for s := range seqs {
 		seq := make(Sequence, cycles)
 		for t := range seq {
-			vec := Vector{}
+			vec := make(Vector, len(nl.PINames))
 			for _, name := range nl.PINames {
 				rng = rng*6364136223846793005 + 1442695040888963407
 				vec[name] = sim.Logic((rng >> 33) & 1)
